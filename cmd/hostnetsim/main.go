@@ -87,8 +87,6 @@ func realMain() int {
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	hosts := flag.Int("hosts", 0, "rack size for the incast experiment (default 4)")
-	partitioned := flag.Bool("partitioned", false, "run incast racks as a conservative-parallel DES (per-host engines, ToR-lookahead rounds; no fault injection)")
-	fabricWorkers := flag.Int("fabric-workers", 0, "goroutines stepping a partitioned rack's hosts (<= 1 = serial rounds; results are byte-identical at any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write allocation profile to `file` at exit")
 	traceOut := flag.String("trace", "", "write runtime execution trace to `file`")
@@ -169,9 +167,7 @@ func realMain() int {
 		return 2
 	}
 	opt.Faults = faults
-	opt.FabricWorkers = *fabricWorkers
 	fabricHosts = *hosts
-	fabricPartitioned = *partitioned
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -199,11 +195,6 @@ var emitCSV bool
 // spec's default rack of 4).
 var fabricHosts int
 
-// fabricPartitioned carries the -partitioned flag: incast racks run as a
-// conservative-parallel DES (a spec-level mode, since its discretization
-// differs from the shared-engine rack).
-var fabricPartitioned bool
-
 // runJSON emits the canonical JSON Result envelope for each named
 // experiment, one NDJSON line per name — byte-identical to hostnetd's
 // result endpoint for the same spec (both route through exp.RunSpecJSON).
@@ -220,8 +211,8 @@ func runJSON(opt hostnet.Options, window, warmup time.Duration, ddio bool, fidel
 			Faults:     opt.Faults,
 			Fidelity:   fidelity,
 		}
-		if name == "incast" && (fabricHosts > 0 || fabricPartitioned) {
-			spec.Fabric = &hostnet.FabricSpec{Hosts: fabricHosts, Partitioned: fabricPartitioned}
+		if name == "incast" && fabricHosts > 0 {
+			spec.Fabric = &hostnet.FabricSpec{Hosts: fabricHosts}
 		}
 		b, err := exp.RunSpecJSON(spec, opt)
 		if err != nil {
@@ -345,13 +336,9 @@ func run(opt hostnet.Options, names ...string) int {
 			fmt.Fprintf(w, "  P2M degradation: %.2fx -> %.2fx\n", s.P2MDegrOff(), s.P2MDegrOn())
 			fmt.Fprintf(w, "  C2M degradation: %.2fx -> %.2fx\n\n", s.C2MDegrOff(), s.C2MDegrOn())
 		case "incast":
-			fs := hostnet.FabricSpec{Hosts: fabricHosts, Partitioned: fabricPartitioned}
+			fs := hostnet.FabricSpec{Hosts: fabricHosts}
 			if err := fs.Validate(); err != nil {
 				fmt.Fprintln(os.Stderr, "-hosts:", err)
-				return 2
-			}
-			if fs.Partitioned && len(opt.Faults) > 0 {
-				fmt.Fprintln(os.Stderr, "-partitioned: partitioned racks do not support fault injection")
 				return 2
 			}
 			s := hostnet.RunIncast(fs, 4, opt.Faults, opt)
@@ -484,7 +471,7 @@ func head(xs []int, n int) []int {
 
 // boolFlags are the flags that take no value argument; every other flag
 // consumes the following token when written as "-flag value".
-var boolFlags = map[string]bool{"ddio": true, "csv": true, "audit": true, "version": true, "partitioned": true}
+var boolFlags = map[string]bool{"ddio": true, "csv": true, "audit": true, "version": true}
 
 // reorderArgs moves flag tokens ahead of experiment names so that
 // "hostnetsim fig3 -parallel 8" works; the standard flag package stops

@@ -114,12 +114,6 @@ type (
 	// switch, all on one shared event engine (so fabric runs keep the
 	// single-host determinism guarantees).
 	Fabric = fabric.Fabric
-	// ParallelFabric is the conservative-parallel rack: every host on a
-	// private engine, advanced in ToR-lookahead rounds, byte-identical at
-	// any worker count.
-	ParallelFabric = fabric.Parallel
-	// ParallelSnapshot captures a ParallelFabric at a round boundary.
-	ParallelSnapshot = fabric.ParallelSnapshot
 	// FabricConfig describes a rack (hosts, per-host config, NIC, ToR).
 	FabricConfig = fabric.Config
 	// FabricNICConfig models a host's fabric attachment (line rate, RX
@@ -368,13 +362,6 @@ func RenderIncast(w io.Writer, s *IncastSweep)                         { exp.Ren
 
 // NewFabric assembles a rack of hosts behind a ToR switch on one engine.
 func NewFabric(cfg FabricConfig) *Fabric { return fabric.New(cfg) }
-
-// NewParallelFabric assembles a partitioned rack advanced by `workers`
-// goroutines in conservative lookahead rounds. The configuration must be
-// fault-free; results are byte-identical at any worker count.
-func NewParallelFabric(cfg FabricConfig, workers int) *ParallelFabric {
-	return fabric.NewParallel(cfg, workers)
-}
 
 // DefaultFabricConfig returns a Cascade Lake rack of `hosts` hosts on a
 // 100 Gbps ToR.

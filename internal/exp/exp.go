@@ -33,12 +33,7 @@ type Options struct {
 	// own host and engine, so results are bit-identical at any setting —
 	// pinned by TestParallelDeterminism*.
 	Parallelism int
-	// FabricWorkers bounds the goroutines stepping a partitioned rack's
-	// host partitions (FabricSpec.Partitioned): <= 1 advances the lookahead
-	// rounds serially. Execution-only like Parallelism: the conservative
-	// synchronizer makes partitioned results byte-identical at any worker
-	// count (pinned by TestIncastPartitionedWorkerIdentity), so this knob
-	// is not part of the spec. Ignored by shared-engine racks.
+	// FabricWorkers is unread; perfbench sets it, so drop it after that setter.
 	FabricWorkers int
 	// Audit enables the invariant auditor on every host the experiment
 	// builds, in fail-fast mode: any conservation violation panics with the

@@ -5,11 +5,8 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/audit"
 	"repro/internal/fabric"
 	"repro/internal/fault"
-	"repro/internal/host"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -44,14 +41,6 @@ type FabricSpec struct {
 	// Flows, when non-empty, replaces the incast pattern with an explicit
 	// flow matrix, run as a single point.
 	Flows []FlowSpec `json:"flows,omitempty"`
-	// Partitioned selects the conservative-parallel rack (fabric.NewParallel):
-	// every host on its own engine, advanced in ToR-lookahead rounds. It is a
-	// different — deterministic, but not bit-equal — discretization than the
-	// shared-engine rack, so it is a spec knob (part of the cache key), while
-	// the goroutine count driving it (Options.FabricWorkers) is execution-only:
-	// partitioned results are byte-identical at any worker count. Partitioned
-	// racks do not support fault injection; Validate rejects the combination.
-	Partitioned bool `json:"partitioned,omitempty"`
 }
 
 // MaxFabricHosts bounds rack size; a ToR has finitely many ports.
@@ -61,7 +50,7 @@ const MaxFabricHosts = 64
 // incast degree clamped to the host count, flows sorted with explicit
 // rates. Ignored knobs are cleared so equivalent specs hash equal.
 func (fs FabricSpec) Normalized() FabricSpec {
-	n := FabricSpec{Hosts: fs.Hosts, FaultHost: fs.FaultHost, Partitioned: fs.Partitioned}
+	n := FabricSpec{Hosts: fs.Hosts, FaultHost: fs.FaultHost}
 	if n.Hosts == 0 {
 		n.Hosts = 4
 	}
@@ -216,15 +205,7 @@ type IncastSweep struct {
 	Faulted   []IncastPoint
 }
 
-// rack is the common surface of the two fabric execution modes: the
-// shared-engine Fabric and the conservative-parallel Parallel.
-type rack interface {
-	AddFlow(src, dst int, rate float64)
-	AddIncast(recv, senders int)
-	Run(warmup, window sim.Time)
-}
-
-// runIncastPoint builds one rack on its own engine(s) and measures it.
+// runIncastPoint builds one rack on its own engine and measures it.
 func runIncastPoint(fs FabricSpec, senders, recvCores int, sched fault.Schedule, opt Options) IncastPoint {
 	cfg := fabric.DefaultConfig(fs.Hosts)
 	hostCfg := opt.Preset()
@@ -234,24 +215,7 @@ func runIncastPoint(fs FabricSpec, senders, recvCores int, sched fault.Schedule,
 	cfg.Audit = opt.auditConfig()
 	cfg.Faults = sched
 	cfg.FaultHost = fs.FaultHost
-	var (
-		f     rack
-		hosts []*host.Host
-		nics  []*fabric.NIC
-		sw    *fabric.Switch
-	)
-	if fs.Partitioned {
-		// The partitioned rack has no rack-wide observer, so it supports
-		// neither fault injection (NewParallel panics; Spec.Validate rejects
-		// the combination upstream) nor auditing (dropped here: auditing is
-		// execution-only, so ignoring it cannot change results).
-		cfg.Audit = audit.Config{}
-		pf := fabric.NewParallel(cfg, opt.FabricWorkers)
-		f, hosts, nics, sw = pf, pf.Hosts, pf.NICs, pf.Switch
-	} else {
-		sf := fabric.New(cfg)
-		f, hosts, nics, sw = sf, sf.Hosts, sf.NICs, sf.Switch
-	}
+	f := fabric.New(cfg)
 	if len(fs.Flows) > 0 {
 		for _, fl := range fs.Flows {
 			f.AddFlow(fl.Src, fl.Dst, fl.Rate)
@@ -264,22 +228,22 @@ func runIncastPoint(fs FabricSpec, senders, recvCores int, sched fault.Schedule,
 	// chain degrades P2M writes below wire rate, and the receiver — not the
 	// ToR — becomes the incast bottleneck.
 	for i := 0; i < recvCores; i++ {
-		base := hosts[0].Region(1 << 30)
-		hosts[0].AddCore(workload.NewSeqReadWrite(base, 1<<30))
+		base := f.Hosts[0].Region(1 << 30)
+		f.Hosts[0].AddCore(workload.NewSeqReadWrite(base, 1<<30))
 	}
 	f.Run(opt.Warmup, opt.Window)
 	p := IncastPoint{
 		Senders:     senders,
-		RxQueueOcc:  nics[0].RxQueueOcc.Avg(),
-		SwEgressOcc: sw.PortOutOccAvg(0),
+		RxQueueOcc:  f.NICs[0].RxQueueOcc.Avg(),
+		SwEgressOcc: f.Switch.PortOutOccAvg(0),
 	}
-	for _, n := range nics {
+	for _, n := range f.NICs {
 		p.TxBW = append(p.TxBW, n.TxBytesPerSec())
 		p.TxPause = append(p.TxPause, n.TxPauseFrac.Frac())
 		p.RxBW = append(p.RxBW, n.RxBytesPerSec())
 		p.RxPause = append(p.RxPause, n.RxPauseFrac.Frac())
 	}
-	p.Recv = snapshot(hosts[0])
+	p.Recv = snapshot(f.Hosts[0])
 	return p
 }
 

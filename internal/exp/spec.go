@@ -294,9 +294,6 @@ func (s Spec) Validate() error {
 		if err := s.Fabric.Validate(); err != nil {
 			return err
 		}
-		if s.Fabric.Partitioned && len(s.Faults) > 0 {
-			return fmt.Errorf("fabric: partitioned racks do not support fault injection (drop faults or partitioned)")
-		}
 	}
 	return nil
 }

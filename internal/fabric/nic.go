@@ -64,11 +64,6 @@ type NIC struct {
 	sw   *Switch
 	port int
 	id   NodeID
-	// par, when non-nil, marks this NIC as part of a partitioned rack: the
-	// switch lives on another engine, so every interaction with it becomes a
-	// cross-partition message posted at emission time (partition index is
-	// 1 + port). Nil on a shared-engine Fabric.
-	par *Parallel
 
 	// TX state.
 	flows    []*Flow
@@ -97,7 +92,6 @@ type NIC struct {
 	deliverDone func() // IIO completion callback, created once
 	flowTickFn  sim.EventFunc
 	txArriveFn  sim.EventFunc
-	txDepartFn  sim.EventFunc
 	rxArriveFn  sim.EventFunc
 	rxPauseFn   sim.EventFunc
 
@@ -143,7 +137,6 @@ func NewNIC(eng *sim.Engine, cfg NICConfig, io *iio.IIO, sw *Switch, portIdx int
 	}
 	n.flowTickFn = n.flowTickEvent
 	n.txArriveFn = n.txArriveEvent
-	n.txDepartFn = n.txDepartEvent
 	n.rxArriveFn = n.rxArriveEvent
 	n.rxPauseFn = n.rxPauseEvent
 	if aud.Enabled() {
@@ -241,13 +234,7 @@ func (n *NIC) kickTx() {
 		n.sentTotal++
 		n.wireTx++
 		n.Sent.Inc()
-		if n.par != nil {
-			// Partitioned: the line leaves this partition when it finishes
-			// serializing; the wire propagation rides the message latency.
-			n.eng.AfterFunc(period, n.txDepartFn, f)
-		} else {
-			n.eng.AfterFunc(period+n.cfg.PropDelay, n.txArriveFn, f)
-		}
+		n.eng.AfterFunc(period+n.cfg.PropDelay, n.txArriveFn, f)
 		n.eng.AfterFunc(f.period, n.flowTickFn, f)
 		break
 	}
@@ -270,16 +257,6 @@ func (n *NIC) txArriveEvent(arg any) {
 	n.sw.Arrive(n.port, f.dst)
 }
 
-// txDepartEvent is the partitioned-rack TX completion: serialization done,
-// the line leaves the host partition as a message that lands at the switch
-// ingress after the wire propagation. The on-the-wire interval is accounted
-// by the rack's posted/delivered counters instead of wireTx.
-func (n *NIC) txDepartEvent(arg any) {
-	f := arg.(*Flow)
-	n.wireTx--
-	n.par.post(1+n.port, 0, n.cfg.PropDelay, mArrive, n.port, f.dst)
-}
-
 // setTxPaused lands switch-asserted PFC at the TX (post-propagation).
 func (n *NIC) setTxPaused(v bool) {
 	if v == n.txPaused {
@@ -299,17 +276,9 @@ func (n *NIC) wireDeliver() {
 	n.eng.AfterFunc(n.cfg.PropDelay, n.rxArriveFn, nil)
 }
 
+// rxArriveEvent lands one line in the RX buffer after the wire propagation.
 func (n *NIC) rxArriveEvent(any) {
 	n.wireRx--
-	n.rxLand()
-}
-
-// rxLand lands one line in the RX buffer. On a shared-engine fabric it runs
-// from rxArriveEvent after the wire propagation; on a partitioned rack the
-// cross-partition message delivery calls it directly (the wire time was
-// spent in the message latency, and the line was accounted by the rack's
-// posted/delivered counters rather than wireRx).
-func (n *NIC) rxLand() {
 	if n.rxQ.full() {
 		// PFC should have stopped the switch egress before headroom ran out.
 		n.dropTotal++
@@ -358,18 +327,7 @@ func (n *NIC) updateRxPFC() {
 	if want != n.rxXoff {
 		n.rxXoff = want
 		n.RxPauseFrac.Set(want)
-		if n.par != nil {
-			// Partitioned: the pause frame carries the value decided now; a
-			// flap inside the delay delivers both transitions in order, so
-			// the switch still settles to the latest value.
-			v := int32(0)
-			if want {
-				v = 1
-			}
-			n.par.post(1+n.port, 0, n.cfg.PauseDelay, mEgressPause, n.port, v)
-		} else {
-			n.eng.AfterFunc(n.cfg.PauseDelay, n.rxPauseFn, nil)
-		}
+		n.eng.AfterFunc(n.cfg.PauseDelay, n.rxPauseFn, nil)
 	}
 }
 

@@ -106,11 +106,6 @@ type port struct {
 type Switch struct {
 	eng *sim.Engine
 	cfg SwitchConfig
-	// par, when non-nil, marks this switch as partition 0 of a partitioned
-	// rack: the attached NICs live on other engines, so egress deliveries
-	// and PFC toward a host TX become cross-partition messages. Nil on a
-	// shared-engine Fabric.
-	par *Parallel
 
 	ports       []*port
 	holRot      int   // round-robin cursor for egress-slot arbitration
@@ -274,13 +269,7 @@ func (s *Switch) egrDoneEvent(arg any) {
 	p.out.pop()
 	p.OutOcc.Add(-1)
 	p.Egressed.Inc()
-	if s.par != nil {
-		// Partitioned: the line leaves the switch partition now and lands at
-		// the host NIC after the wire propagation rides the message latency.
-		s.par.post(0, 1+p.idx, s.par.Cfg.NIC.PropDelay, mWireDeliver, p.idx, 0)
-	} else {
-		p.nic.wireDeliver()
-	}
+	p.nic.wireDeliver()
 	// An egress slot freed: grant it round-robin across the HoL-blocked
 	// ingress ports, advancing the cursor past the winner so contenders
 	// alternate — a fixed kick order would be strict priority and starve
@@ -315,18 +304,7 @@ func (s *Switch) updateTxPause(p *port) {
 	}
 	if want != p.txPause {
 		p.txPause = want
-		if s.par != nil {
-			// Partitioned: the pause frame carries the value decided now; a
-			// flap inside the delay delivers both transitions in order, so
-			// the host TX still settles to the latest value.
-			v := int32(0)
-			if want {
-				v = 1
-			}
-			s.par.post(0, 1+p.idx, s.cfg.PauseDelay, mTxPause, p.idx, v)
-		} else {
-			s.eng.AfterFunc(s.cfg.PauseDelay, s.txPauseFn, p)
-		}
+		s.eng.AfterFunc(s.cfg.PauseDelay, s.txPauseFn, p)
 	}
 }
 

@@ -526,7 +526,8 @@ func (m *manager) run(j *Job) {
 	m.mu.Lock()
 	m.insertLocked(j, st, out)
 	m.mu.Unlock()
-	j.finish(st, out, msg)
+	// Count the job before finish wakes its result waiters, so a client that
+	// reads /metrics or GET /crossval right after the result sees it.
 	m.met.observe(st, wall)
 	if st == StateDone {
 		// Feed the Retry-After estimate (completed sim jobs only; analytic
@@ -535,8 +536,10 @@ func (m *manager) run(j *Job) {
 		m.met.noteJobDuration(wall)
 		m.noteCrossvalJob(j.Spec, out)
 	}
+	j.finish(st, out, msg)
 	// A refinement watch is consumed no matter how the twin ended; only a
-	// completed twin yields a comparison.
+	// completed twin yields a comparison. It is taken after finish: a watch
+	// registered once the twin is terminal is consumed by watchRefine itself.
 	if env := m.takeRefine(j.ID); env != nil && st == StateDone {
 		m.noteCrossval(env, out)
 	}

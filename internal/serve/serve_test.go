@@ -308,6 +308,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad quadrant", `{"experiment":"quadrant","quadrant":9}`},
 		{"window over cap", `{"experiment":"quadrant","window_ns":20000}`},
 		{"bad write frac", `{"experiment":"ratio","write_fracs":[2]}`},
+		// The window fits the cap, so only the unknown fabric field can
+		// reject it.
+		{"removed fabric field", `{"experiment":"incast","warmup_ns":1000,"window_ns":2000,"fabric":{"partitioned":true}}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
