@@ -6,7 +6,7 @@ import "testing"
 // -benchmem, its per-event allocation count. CI runs them once
 // (-benchtime=1x) and fails if the scheduling benchmarks report nonzero
 // allocs/op; BENCH_engine.json at the repo root records the before/after
-// trajectory of the container/heap -> flat 4-ary heap rewrite.
+// trajectory of the engine rewrites.
 
 // BenchmarkScheduleRun measures one schedule+dispatch round trip: the cost
 // every simulated event pays. The callback is hoisted so the benchmark sees
@@ -40,6 +40,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < window; i++ {
 		e.At(Time(i), fn)
 	}
+	e.Step() // grow the free list so -benchtime=1x is already steady state
+	e.At(e.Now()+window, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,32 +75,35 @@ func BenchmarkWakerChurn(b *testing.B) {
 }
 
 // benchHeapPattern keeps a fixed number of events pending and replaces the
-// popped event each step, so b.N operations all run at the given heap depth
-// with the given arrival pattern.
-func benchHeapPattern(b *testing.B, depth int, next func(i int) Time) {
+// popped event each step, so b.N operations all run at the given depth with
+// the given arrival pattern. delay(i) is relative to the clock, so the
+// pattern holds however far the run has advanced.
+func benchHeapPattern(b *testing.B, depth int, delay func(i int) Time) {
 	e := New()
 	fn := func() {}
 	for i := 0; i < depth; i++ {
-		e.At(next(i), fn)
+		e.After(delay(i), fn)
+	}
+	// One full turnover grows the free list, so -benchtime=1x is already
+	// steady state.
+	for i := 0; i < depth; i++ {
+		e.Step()
+		e.After(delay(depth+i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-		t := next(depth + i)
-		if t < e.Now() {
-			t = e.Now()
-		}
-		e.At(t, fn)
+		e.After(delay(2*depth+i), fn)
 	}
 	b.StopTimer()
 	e.Run()
 }
 
-// BenchmarkHeapPushPopAscending: FIFO-ish arrivals (timer wheels, paced
-// links) — every push lands at the heap's far end.
+// BenchmarkHeapPushPopAscending: FIFO-ish arrivals (paced links) — every
+// push lands after every pending event.
 func BenchmarkHeapPushPopAscending(b *testing.B) {
-	benchHeapPattern(b, 512, func(i int) Time { return Time(i) })
+	benchHeapPattern(b, 512, func(i int) Time { return 512 })
 }
 
 // BenchmarkHeapPushPopSameInstant: bursts at one timestamp (a drained
@@ -107,15 +112,69 @@ func BenchmarkHeapPushPopSameInstant(b *testing.B) {
 	benchHeapPattern(b, 512, func(i int) Time { return 0 })
 }
 
-// BenchmarkHeapPushPopRandom: uncorrelated arrival times (colliding
-// components with unrelated latencies) — the sift-heavy worst case.
+// BenchmarkHeapPushPopRandom: uncorrelated delays up to ~1 µs (colliding
+// components with unrelated latencies). About a quarter land inside the
+// wheel's horizon; the rest go to the overflow heap, the sift-heavy case.
 func BenchmarkHeapPushPopRandom(b *testing.B) {
 	rng := RNG(0xbeac4)
-	times := make([]Time, 1<<16)
-	for i := range times {
-		times[i] = Time(rng.Uint64N(1 << 20))
+	delays := make([]Time, 1<<16)
+	for i := range delays {
+		delays[i] = Time(rng.Uint64N(1 << 20))
 	}
-	benchHeapPattern(b, 512, func(i int) Time { return times[i&(1<<16-1)] })
+	benchHeapPattern(b, 512, func(i int) Time { return delays[i&(1<<16-1)] })
+}
+
+// hostMixDelays are the twelve delays that cover 89% of fig3's future
+// pushes: link and line periods, tCL, and the CHA and memory-controller
+// hops.
+var hostMixDelays = [...]Time{
+	2000, 5000, 8000, 18000, 20000, 2730, 4570, 17730, 102730, 120000, 144570, 148000,
+}
+
+// BenchmarkEngineHostMix replays fig3's measured scheduling mix at its
+// median depth of ~146 pending events: each plain event reschedules itself
+// after one of hostMixDelays, and every other event touches one of eight
+// wakers, alternately arming it in the future (a fresh arm, or a supersede
+// that records a stale slot) and superseding it to now (decrease-key from
+// the wheel into the same-instant FIFO). Fired wakers re-arm themselves.
+func BenchmarkEngineHostMix(b *testing.B) {
+	const depth = 146
+	e := New()
+	rng := RNG(0x515)
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = hostMixDelays[rng.IntN(len(hostMixDelays))]
+	}
+	var wakers [8]*Waker
+	n := 0
+	for k := range wakers {
+		k := k
+		wakers[k] = NewWaker(e, func() { wakers[k].WakeAt(e.Now() + delays[(n+k)&4095]) })
+	}
+	var fire EventFunc
+	fire = func(arg any) {
+		n++
+		e.AfterFunc(delays[n&4095], fire, arg)
+		if n&1 == 0 {
+			w := wakers[(n>>1)&7]
+			if n&2 == 0 {
+				w.WakeAt(e.Now() + delays[(n*7)&4095])
+			} else {
+				w.Wake()
+			}
+		}
+	}
+	for k := 0; k < depth-len(wakers); k++ {
+		e.AfterFunc(delays[k], fire, nil)
+	}
+	for k := 0; k < 1<<16; k++ { // reach the steady-state mix and capacities
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }
 
 // benchReg is a registered component for the snapshot benchmarks: SaveState
@@ -126,17 +185,19 @@ type benchReg struct{ v [8]uint64 }
 func (s *benchReg) SaveState() any      { return s.v }
 func (s *benchReg) LoadState(state any) { s.v = state.([8]uint64) }
 
-// benchSnapshotEngine builds a warm engine with 512 pending events and one
-// registered component — the shape both snapshot benchmarks measure.
+// benchSnapshotEngine builds a warm engine with one registered component
+// and 511 pending events 1 ns apart: the 162 scheduled within the wheel's
+// ~262 ns horizon sit in the wheel, the rest in the overflow heap. This is
+// the shape both snapshot benchmarks measure.
 func benchSnapshotEngine() (*Engine, *benchReg) {
 	e := New()
 	r := &benchReg{}
 	e.Register(r)
 	fn := func() {}
-	for i := 0; i < 512; i++ {
-		e.At(Time(i), fn)
+	for i := 0; i < 612; i++ {
+		e.At(Time(i)*Nanosecond, fn)
 	}
-	e.RunUntil(100)
+	e.RunUntil(100 * Nanosecond)
 	return e, r
 }
 

@@ -6,7 +6,7 @@ import "math/rand/v2"
 // whenever its inputs change. Multiple Wake calls for the same instant (or
 // while a wake is already pending at an earlier-or-equal time) collapse into
 // a single callback invocation, which keeps hot components (the memory
-// controller scheduler, the CHA admission stage) from flooding the event heap.
+// controller scheduler, the CHA admission stage) from flooding the engine.
 //
 // A waker owns at most one live event. An earlier request reschedules that
 // event in place (the engine's decrease-key) instead of pushing a
@@ -23,21 +23,24 @@ import "math/rand/v2"
 // pinned byte-identical across engine rewrites, so the rework must keep
 // that ordering without keeping the dead events. The stale list records the
 // (at, seq) of every event the old implementation would still be holding;
-// arming at a recorded timestamp adopts the recorded sequence number (and
-// the fresh number takes the record's place, exactly mirroring which event
-// would have been the no-op). Records die once the clock passes them, so
-// the list stays at most a handful of entries.
+// arming at a recorded timestamp adopts the oldest sequence number recorded
+// there (and the fresh number takes the record's place, mirroring which
+// event would have been the no-op). The list is kept sorted by (at, seq),
+// so a lookup is a binary search, and records die once the clock passes
+// their timestamp: they are pruned from the front whenever the list is
+// touched. One difference from the old implementation remains and is
+// pinned by the golden outputs: a record at exactly now stays adoptable
+// even after dispatch has passed its (at, seq) position, where the old
+// implementation had already popped the no-op, so a re-arm for the current
+// instant can fire ahead of same-instant events queued before it.
 type Waker struct {
 	eng       *Engine
 	fn        func()
 	pendingAt Time
 	pending   bool
 	slot      int32
-	seq       uint64 // sequence number of the live event
-	stale     []staleRec
-	// staleMin/staleMax band the record timestamps so the common WakeAt
-	// (no record at t, none expired) skips the scan entirely.
-	staleMin, staleMax Time
+	seq       uint64     // sequence number of the live event
+	stale     []staleRec // sorted by (at, seq)
 }
 
 // staleRec is one event the pre-decrease-key implementation would still
@@ -66,117 +69,101 @@ func wakerFire(arg any) {
 	w.fn()
 }
 
-// record remembers a superseded event's (at, seq), keeping the time band
-// current.
-func (w *Waker) record(at Time, seq uint64) {
-	if len(w.stale) == 0 {
-		w.staleMin, w.staleMax = at, at
-	} else {
-		if at < w.staleMin {
-			w.staleMin = at
-		}
-		if at > w.staleMax {
-			w.staleMax = at
-		}
+// prune drops the records the clock has passed: t >= now on every lookup,
+// so they can never be adopted.
+func (w *Waker) prune() {
+	now := w.eng.now
+	k := 0
+	for k < len(w.stale) && w.stale[k].at < now {
+		k++
 	}
-	w.stale = append(w.stale, staleRec{at: at, seq: seq})
+	if k > 0 {
+		w.stale = w.stale[:copy(w.stale, w.stale[k:])]
+	}
 }
 
-// adopt removes and returns the oldest stale record at exactly t, if any.
-// A dead record (at < now) can never match — t >= now always — so pruning
-// is purely a memory/scan-length concern and rides along with the scan.
-// The [staleMin, staleMax] band short-circuits the common cases: a fresh
-// arm in the future beyond every record, and a supersede to now while all
-// records are still live in the future. The band check lives in this small
-// inlinable wrapper so the hot WakeAt path pays no call when it misses.
-func (w *Waker) adopt(t Time) (uint64, bool) {
-	if len(w.stale) == 0 || t < w.staleMin || t > w.staleMax {
+// search returns the index of the first record not before (at, seq).
+func (w *Waker) search(at Time, seq uint64) int {
+	lo, hi := 0, len(w.stale)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r := w.stale[m]; r.at < at || (r.at == at && r.seq < seq) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// record remembers a superseded event's (at, seq).
+func (w *Waker) record(at Time, seq uint64) {
+	w.prune()
+	i := w.search(at, seq)
+	w.stale = append(w.stale, staleRec{})
+	copy(w.stale[i+1:], w.stale[i:])
+	w.stale[i] = staleRec{at: at, seq: seq}
+}
+
+// adopt looks for the oldest stale record at exactly t. If there is one, it
+// returns that record's number for the arming event to take, and the fresh
+// number the arming consumes takes the record's place: fresh is the newest
+// number, so it sorts last among the records at t.
+func (w *Waker) adopt(t Time, fresh uint64) (uint64, bool) {
+	w.prune()
+	i := w.search(t, 0)
+	if i == len(w.stale) || w.stale[i].at != t {
 		return 0, false
 	}
-	return w.adoptScan(t)
-}
-
-// adoptScan is the slow path of adopt: scan, prune dead records, and
-// re-derive the time band.
-func (w *Waker) adoptScan(t Time) (uint64, bool) {
-	now := w.eng.Now()
-	best := uint64(0)
-	found := false
-	kept := w.stale[:0]
-	min, max := Time(1<<62), Time(-1)
-	for _, r := range w.stale {
-		if r.at < now {
-			continue
-		}
-		if r.at == t {
-			if !found {
-				best, found = r.seq, true
-				continue
-			}
-			if r.seq < best {
-				// Keep the younger of the two as residue; adopt the older.
-				r.seq, best = best, r.seq
-			}
-		}
-		if r.at < min {
-			min = r.at
-		}
-		if r.at > max {
-			max = r.at
-		}
-		kept = append(kept, r)
+	old := w.stale[i].seq
+	j := i + 1
+	for j < len(w.stale) && w.stale[j].at == t {
+		j++
 	}
-	w.stale = kept
-	w.staleMin, w.staleMax = min, max
-	return best, found
+	copy(w.stale[i:j-1], w.stale[i+1:j])
+	w.stale[j-1].seq = fresh
+	return old, true
 }
 
 // WakeAt requests a callback at absolute time t. If a wake-up is already
 // pending at or before t, the request is absorbed; if one is pending later,
 // it is moved earlier in place.
 func (w *Waker) WakeAt(t Time) {
-	if t < w.eng.Now() {
-		t = w.eng.Now()
+	if now := w.eng.now; t < now {
+		t = now
+	}
+	if w.pending && w.pendingAt <= t {
+		return
+	}
+	// schedule and reschedule each consume exactly one fresh number. The
+	// common miss, an arm beyond every record, skips the lookup.
+	seq := w.eng.seq + 1
+	if n := len(w.stale); n > 0 && t <= w.stale[n-1].at {
+		if old, ok := w.adopt(t, seq); ok {
+			seq = old
+		}
 	}
 	if w.pending {
-		if w.pendingAt <= t {
-			return
-		}
-		// pendingAt > t >= now implies the live event sits in the heap (the
-		// same-instant FIFO only ever holds events at now), so decrease-key
-		// applies. The superseded position becomes a stale record.
+		// pendingAt > t >= now implies the live event sits in the wheel or
+		// the heap (the same-instant FIFO only ever holds events at now), so
+		// decrease-key applies. The superseded position becomes a stale
+		// record.
 		w.record(w.pendingAt, w.seq)
-		w.pendingAt = t
-		if old, ok := w.adopt(t); ok {
-			fresh := w.eng.reschedule(w.slot, t, old)
-			w.record(t, fresh)
-			w.seq = old
-		} else {
-			w.seq = w.eng.reschedule(w.slot, t, useFreshSeq)
-		}
-		return
+		w.eng.reschedule(w.slot, t, seq)
+	} else {
+		w.pending = true
+		w.slot = w.eng.schedule(t, seq, wakerFire, w)
 	}
-	w.pending = true
-	w.pendingAt = t
-	if old, ok := w.adopt(t); ok {
-		slot, fresh := w.eng.scheduleSeq(t, old, wakerFire, w)
-		w.slot = slot
-		w.seq = old
-		w.record(t, fresh)
-		return
-	}
-	w.slot = w.eng.schedule(t, wakerFire, w)
-	w.seq = w.eng.seq
+	w.pendingAt, w.seq = t, seq
 }
 
 // wakerState is the snapshot of a Waker.
 type wakerState struct {
-	pendingAt          Time
-	pending            bool
-	slot               int32
-	seq                uint64
-	stale              []staleRec
-	staleMin, staleMax Time
+	pendingAt Time
+	pending   bool
+	slot      int32
+	seq       uint64
+	stale     []staleRec
 }
 
 // SaveState implements Stateful.
@@ -187,8 +174,6 @@ func (w *Waker) SaveState() any {
 		slot:      w.slot,
 		seq:       w.seq,
 		stale:     append([]staleRec(nil), w.stale...),
-		staleMin:  w.staleMin,
-		staleMax:  w.staleMax,
 	}
 }
 
@@ -197,7 +182,6 @@ func (w *Waker) LoadState(state any) {
 	st := state.(wakerState)
 	w.pendingAt, w.pending, w.slot, w.seq = st.pendingAt, st.pending, st.slot, st.seq
 	w.stale = append(w.stale[:0], st.stale...)
-	w.staleMin, w.staleMax = st.staleMin, st.staleMax
 }
 
 // Rand is a deterministic random stream that can save and load its
